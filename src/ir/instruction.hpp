@@ -101,28 +101,6 @@ struct Instruction
     }
     /** True if the instruction writes a register. */
     bool hasDst() const { return dst != kNoReg; }
-    /**
-     * True if the instruction may be executed speculatively (hoisted
-     * above a branch): it must be free of side effects and non-excepting.
-     * Ld qualifies only after conversion to LdSpec.
-     */
-    bool isSpeculable() const
-    {
-        switch (op) {
-          case Opcode::St:
-          case Opcode::Emit:
-          case Opcode::Call:
-          case Opcode::Ld:
-          case Opcode::BrNz:
-          case Opcode::BrZ:
-          case Opcode::Jmp:
-          case Opcode::Ret:
-            return false;
-          default:
-            return true;
-        }
-    }
-
     /** Collect the registers this instruction reads. */
     void sources(std::vector<RegId> &out) const;
 

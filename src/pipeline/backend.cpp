@@ -1,10 +1,5 @@
 #include "pipeline/backend.hpp"
 
-#include <cstring>
-#include <deque>
-
-#include "profile/edge_profile.hpp"
-#include "profile/path_profile.hpp"
 #include "support/logging.hpp"
 
 namespace pathsched::pipeline {
@@ -19,7 +14,6 @@ formConfigFor(SchedConfig config, const PipelineOptions &options)
     fc.growUpward = options.growUpward;
     switch (config) {
       case SchedConfig::BB:
-      case SchedConfig::G4:
         break; // no formation stage
       case SchedConfig::M4:
         fc.mode = form::ProfileMode::Edge;
@@ -38,225 +32,42 @@ formConfigFor(SchedConfig config, const PipelineOptions &options)
         fc.maxLoopHeads = 4;
         fc.nonLoopStopsAtAnyHead = true;
         break;
-      case SchedConfig::G4e:
-        // Enlargement on top of GCM: the P4 path-driven formation.
-        fc.mode = form::ProfileMode::Path;
-        fc.maxLoopHeads = 4;
-        break;
     }
     return fc;
 }
 
 namespace {
 
-/** The superblock family's transform: formation (with the projected-
- *  edge degradation cascade) bracketed by the "form"/"materialize"
- *  injection boundaries. */
-Status
-superblockTransform(ir::Program &prog, ir::ProcId proc,
-                    const TransformContext &ctx, TransformStats &stats,
-                    const char **failedStage)
-{
-    form::FormConfig fc = formConfigFor(ctx.config, *ctx.opt);
-    if (ctx.useProjectedEdges) {
-        // Degradation cascade for procedures whose path profile lost
-        // windows to admission but still projects consistently: form
-        // them edge-driven (M4-style) from the projection.
-        fc.mode = form::ProfileMode::Edge;
-        fc.unrollFactor = 4;
-    }
-    const obs::Observer form_obs = ctx.timed->withPrefix("form.");
-    fc.observer = &form_obs;
-    fc.budget = ctx.budget;
-    *failedStage = "form";
-    Status st = ctx.injectAt("form");
-    if (st.ok())
-        st = ctx.useProjectedEdges
-                 ? form::formProcedure(prog, proc, ctx.projectedEdge,
-                                       nullptr, fc, stats.form)
-                 : form::formProcedure(prog, proc, ctx.edge, ctx.path,
-                                       fc, stats.form);
-    if (st.ok()) {
-        *failedStage = "materialize";
-        st = ctx.injectAt("materialize");
-    }
-    return st;
-}
-
-/** Shared GCM step of the G4 family: edge-profile block frequencies
- *  feed placement; the machine model feeds latency-aware hoisting. */
-Status
-gcmStep(ir::Program &prog, ir::ProcId proc, const TransformContext &ctx,
-        TransformStats &stats, const char **failedStage)
-{
-    *failedStage = "gcm";
-    Status st = ctx.injectAt("gcm");
-    if (!st.ok())
-        return st;
-    const size_t num_blocks = prog.procs[proc].blocks.size();
-    std::vector<uint64_t> freqs(num_blocks, 0);
-    for (size_t b = 0; b < num_blocks; ++b)
-        freqs[b] = ctx.edge->blockFreq(proc, ir::BlockId(b));
-    sched::GcmOptions go;
-    go.machine = &ctx.opt->machine;
-    go.blockFreq = &freqs;
-    go.budget = ctx.budget;
-    const obs::Observer gcm_obs = ctx.timed->withPrefix("gcm.");
-    go.observer = &gcm_obs;
-    return sched::gcmProcedure(prog, proc, go, stats.gcm);
-}
-
-Status
-gcmTransform(ir::Program &prog, ir::ProcId proc,
-             const TransformContext &ctx, TransformStats &stats,
-             const char **failedStage)
-{
-    return gcmStep(prog, proc, ctx, stats, failedStage);
-}
-
-/** G4e: global code motion first, then path-driven enlargement of the
- *  (unchanged-shape) CFG — the profiles stay valid across GCM because
- *  no block is created, destroyed or re-targeted. */
-Status
-gcmEnlargeTransform(ir::Program &prog, ir::ProcId proc,
-                    const TransformContext &ctx, TransformStats &stats,
-                    const char **failedStage)
-{
-    Status st = gcmStep(prog, proc, ctx, stats, failedStage);
-    if (!st.ok())
-        return st;
-    return superblockTransform(prog, proc, ctx, stats, failedStage);
-}
-
-/** Formation/path knobs shared by every superblock-forming backend. */
-void
-superblockKnobsHash(KeyHasher &h, const PipelineOptions &opt)
-{
-    uint64_t threshold_bits = 0;
-    static_assert(sizeof threshold_bits ==
-                  sizeof opt.completionThreshold);
-    std::memcpy(&threshold_bits, &opt.completionThreshold,
-                sizeof threshold_bits);
-    h.u64(threshold_bits)
-        .u64(opt.maxInstrs)
-        .u64(opt.enlarge ? 1 : 0)
-        .u64(opt.growUpward ? 1 : 0)
-        .u64(opt.pathParams.maxBranches)
-        .u64(opt.pathParams.maxBlocks)
-        .u64(opt.pathParams.forwardPathsOnly ? 1 : 0);
-}
-
-class Registry
-{
-  public:
-    Registry()
-    {
-        BackendDesc d;
-
-        d.config = SchedConfig::BB;
-        d.name = "BB";
-        d.summary = "basic-block scheduling (Table 1 baseline)";
-        add(d);
-
-        d = BackendDesc();
-        d.config = SchedConfig::M4;
-        d.name = "M4";
-        d.summary = "edge profile, mutual-most-likely, unroll 4";
-        d.edgeProfile = true;
-        d.formsSuperblocks = true;
-        d.transform = superblockTransform;
-        d.knobsHash = superblockKnobsHash;
-        add(d);
-
-        d.config = SchedConfig::M16;
-        d.name = "M16";
-        d.summary = "edge profile, mutual-most-likely, unroll 16";
-        add(d);
-
-        d = BackendDesc();
-        d.config = SchedConfig::P4;
-        d.name = "P4";
-        d.summary = "path profile, <= 4 superblock-loop heads";
-        d.pathProfile = true;
-        d.formsSuperblocks = true;
-        d.transform = superblockTransform;
-        d.knobsHash = superblockKnobsHash;
-        add(d);
-
-        d.config = SchedConfig::P4e;
-        d.name = "P4e";
-        d.summary = "P4, non-loop superblocks stop at any head";
-        add(d);
-
-        d = BackendDesc();
-        d.config = SchedConfig::G4;
-        d.name = "G4";
-        d.summary = "global code motion (Click GCM) on the original CFG";
-        d.edgeProfile = true;
-        d.usesGcm = true;
-        d.transformLabel = "gcm";
-        d.transform = gcmTransform;
-        add(d);
-
-        d.config = SchedConfig::G4e;
-        d.name = "G4e";
-        d.summary = "GCM plus P4-style path-driven enlargement";
-        d.pathProfile = true;
-        d.formsSuperblocks = true;
-        d.transform = gcmEnlargeTransform;
-        d.knobsHash = superblockKnobsHash;
-        add(d);
-    }
-
-    void
-    add(const BackendDesc &desc)
-    {
-        if (byName(desc.name) != nullptr)
-            panic("backend name '%s' registered twice", desc.name);
-        if (byConfig(desc.config) != nullptr)
-            panic("backend config %d registered twice",
-                  int(desc.config));
-        storage_.push_back(desc);
-        list_.push_back(&storage_.back());
-    }
-
-    const BackendDesc *
-    byName(const std::string &name) const
-    {
-        for (const BackendDesc *d : list_) {
-            if (name == d->name)
-                return d;
-        }
-        return nullptr;
-    }
-
-    const BackendDesc *
-    byConfig(SchedConfig config) const
-    {
-        for (const BackendDesc *d : list_) {
-            if (d->config == config)
-                return d;
-        }
-        return nullptr;
-    }
-
-    const std::vector<const BackendDesc *> &
-    list() const
-    {
-        return list_;
-    }
-
-  private:
-    /** deque: descriptor addresses stay stable across registrations. */
-    std::deque<BackendDesc> storage_;
-    std::vector<const BackendDesc *> list_;
-};
-
-Registry &
+/** The built-in registrations, in canonical order. */
+const std::vector<BackendDesc> &
 registry()
 {
-    static Registry r;
-    return r;
+    static const std::vector<BackendDesc> descs = {
+        {.config = SchedConfig::BB,
+         .name = "BB",
+         .summary = "basic-block scheduling (Table 1 baseline)"},
+        {.config = SchedConfig::M4,
+         .name = "M4",
+         .summary = "edge profile, mutual-most-likely, unroll 4",
+         .edgeProfile = true,
+         .formsSuperblocks = true},
+        {.config = SchedConfig::M16,
+         .name = "M16",
+         .summary = "edge profile, mutual-most-likely, unroll 16",
+         .edgeProfile = true,
+         .formsSuperblocks = true},
+        {.config = SchedConfig::P4,
+         .name = "P4",
+         .summary = "path profile, <= 4 superblock-loop heads",
+         .pathProfile = true,
+         .formsSuperblocks = true},
+        {.config = SchedConfig::P4e,
+         .name = "P4e",
+         .summary = "P4, non-loop superblocks stop at any head",
+         .pathProfile = true,
+         .formsSuperblocks = true},
+    };
+    return descs;
 }
 
 } // namespace
@@ -264,28 +75,45 @@ registry()
 const BackendDesc &
 backendFor(SchedConfig config)
 {
-    const BackendDesc *d = registry().byConfig(config);
-    if (d == nullptr)
-        panic("no backend registered for SchedConfig %d", int(config));
-    return *d;
+    for (const BackendDesc &d : registry()) {
+        if (d.config == config)
+            return d;
+    }
+    panic("no backend registered for SchedConfig %d", int(config));
 }
 
 const BackendDesc *
 findBackend(const std::string &name)
 {
-    return registry().byName(name);
+    for (const BackendDesc &d : registry()) {
+        if (name == d.name)
+            return &d;
+    }
+    return nullptr;
 }
 
 const std::vector<const BackendDesc *> &
 allBackends()
 {
-    return registry().list();
+    static const std::vector<const BackendDesc *> list = [] {
+        std::vector<const BackendDesc *> out;
+        for (const BackendDesc &d : registry())
+            out.push_back(&d);
+        return out;
+    }();
+    return list;
 }
 
-void
-registerBackend(const BackendDesc &desc)
+std::string
+configListString()
 {
-    registry().add(desc);
+    std::string out;
+    for (const BackendDesc *be : allBackends()) {
+        if (!out.empty())
+            out += ", ";
+        out += be->name;
+    }
+    return out;
 }
 
 const char *

@@ -5,110 +5,38 @@
  * A scheduling configuration used to be a bare SchedConfig enumerator
  * whose meaning was re-derived by `config == SchedConfig::P4`-style
  * predicates scattered across the pipeline, the server, the oracle and
- * the tools — every new config family had to edit a dozen switch sites
- * or silently miss one.  This header replaces all of those predicates
+ * the tools — every new config had to edit a dozen switch sites or
+ * silently miss one.  This header replaces all of those predicates
  * with one descriptor per backend:
  *
- *  - a stable *name* ("P4", "G4") that is the string key for
+ *  - a stable *name* ("P4", "M16") that is the string key for
  *    `--config` parsing everywhere and part of the stage-cache key;
  *  - *capability queries* — needsEdgeProfile()/needsPathProfile() —
  *    that answer every "which profile does this config consume?"
  *    question (training-listener attachment, profile admission, cache
  *    profile hashing, the serving loop's reschedule inputs);
- *  - a *knobs hash* folding the backend's own option knobs into the
- *    PR-5 stage-cache key, so unrelated knobs of other families cannot
- *    over- or under-key an entry;
- *  - a per-procedure Status-returning *transform* entry point (the
- *    "form" slot of the pipeline's task chain) following the
- *    src/pipeline/stages.hpp conventions, through which the executor,
- *    quarantine, budget and fault-injection machinery drive the
- *    backend without knowing what it does.
+ *  - formsSuperblocks, which gates the pipeline's "form" stage, the
+ *    formation knobs in the stage-cache key and the "form.<cfg>.*"
+ *    counters.
  *
- * Adding a backend is now one registration in backend.cpp: the fuzz
- * oracle, `--config all`, the batch sweep, the serving loop and the
- * stage cache pick it up from allBackends() with no further edits —
- * this is the API the C4 cloning family (ROADMAP item 1) plugs into.
+ * The registry is closed: it holds the paper's five configurations.
+ * The fuzz oracle, `--config all`, the batch sweep, the serving loop
+ * and the stage cache all iterate allBackends().
  */
 
 #ifndef PATHSCHED_PIPELINE_BACKEND_HPP
 #define PATHSCHED_PIPELINE_BACKEND_HPP
 
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "pipeline/cache.hpp"
 #include "pipeline/pipeline.hpp"
-#include "sched/gcm.hpp"
 
 namespace pathsched::pipeline {
 
-/** Everything a backend's transform stage may read, assembled by the
- *  pipeline per procedure.  Pointers follow the capability queries: a
- *  profile pointer is meaningful only when the matching capability is
- *  set (the internal training profile otherwise carries zero counts). */
-struct TransformContext
-{
-    SchedConfig config = SchedConfig::BB;
-    const PipelineOptions *opt = nullptr;
-    /** Admitted edge profile (external or internal training). */
-    const profile::EdgeProfiler *edge = nullptr;
-    /** Admitted, finalized path profile. */
-    const profile::PathProfiler *path = nullptr;
-    /** Edge projection of a partially-admitted path profile. */
-    const profile::EdgeProfiler *projectedEdge = nullptr;
-    /** Admission degraded this procedure's path windows: a
-     *  path-consuming backend must fall back to projectedEdge. */
-    bool useProjectedEdges = false;
-    /** "time.<config>."-prefixed observer for pass timers. */
-    const obs::Observer *timed = nullptr;
-    /** Per-procedure budget view (null when unbudgeted/quarantined). */
-    const ResourceBudget *budget = nullptr;
-    /** Stage-boundary fault-injection hook (empty = no injector).
-     *  Backends query it at the same boundaries a real failure could
-     *  occur, so injected and organic failures take identical paths. */
-    std::function<Status(const char *stage)> inject;
-
-    /** Query the injection hook; OK when no injector is attached. */
-    Status
-    injectAt(const char *stage) const
-    {
-        return inject ? inject(stage) : Status();
-    }
-};
-
-/** Counters a transform stage may fill; unused members stay zero and
- *  cost nothing (the pipeline only reports a family's own counters). */
-struct TransformStats
-{
-    form::FormStats form;
-    sched::GcmStats gcm;
-};
-
-/**
- * One scheduling backend.  Plain data plus free-function hooks so a
- * registration is a braced literal; see backend.cpp for the built-ins.
- */
+/** One scheduling backend; see backend.cpp for the registrations. */
 struct BackendDesc
 {
-    /**
-     * Per-procedure transform entry point (the chain head before
-     * compact -> regalloc), per stages.hpp: transforms @c prog's
-     * procedure @c proc in place and returns a Status — non-OK sends
-     * the procedure through the quarantine path, which restores its
-     * original body.  @c failedStage names the stage boundary to
-     * attribute a failure to (preset to transformLabel; the hook
-     * updates it as it crosses internal boundaries).  Null = no
-     * transform stage at all (the BB baseline).
-     */
-    using TransformFn = Status (*)(ir::Program &prog, ir::ProcId proc,
-                                   const TransformContext &ctx,
-                                   TransformStats &stats,
-                                   const char **failedStage);
-    /** Fold the backend's own knob fields into a stage-cache key. */
-    using KnobsHashFn = void (*)(KeyHasher &h,
-                                 const PipelineOptions &opt);
-
     SchedConfig config = SchedConfig::BB;
     /** Stable display/parse name, e.g. "P4e"; also cache-key material. */
     const char *name = "";
@@ -118,14 +46,9 @@ struct BackendDesc
     bool edgeProfile = false;
     /** Consumes a path profile (training listener + admission). */
     bool pathProfile = false;
-    /** Forms superblocks (gates the "form.<cfg>.*" counters). */
+    /** Runs superblock formation (the pipeline's "form" stage).  Every
+     *  profile-consuming backend forms superblocks and vice versa. */
     bool formsSuperblocks = false;
-    /** Runs global code motion (gates the "gcm.<cfg>.*" counters). */
-    bool usesGcm = false;
-    /** Timing/deadline label of the transform stage ("form", "gcm"). */
-    const char *transformLabel = "form";
-    TransformFn transform = nullptr;
-    KnobsHashFn knobsHash = nullptr;
 
     /** @name Capability queries — the only sanctioned way to ask what
      *  a configuration needs; raw SchedConfig comparisons outside the
@@ -133,7 +56,6 @@ struct BackendDesc
     bool needsEdgeProfile() const { return edgeProfile; }
     bool needsPathProfile() const { return pathProfile; }
     bool needsProfile() const { return edgeProfile || pathProfile; }
-    bool hasTransform() const { return transform != nullptr; }
     /** @} */
 };
 
@@ -144,18 +66,14 @@ const BackendDesc &backendFor(SchedConfig config);
  *  lookup behind every tool's --config parsing. */
 const BackendDesc *findBackend(const std::string &name);
 
-/** Every registered backend, in registration order (the built-ins
- *  first: BB, M4, M16, P4, P4e, G4, G4e).  This order is the canonical
- *  config list of `--config all`, the batch sweep and the fuzz
- *  oracle. */
+/** Every registered backend, in registration order: BB, M4, M16, P4,
+ *  P4e.  This order is the canonical config list of `--config all`,
+ *  the batch sweep and the fuzz oracle. */
 const std::vector<const BackendDesc *> &allBackends();
 
-/**
- * Register an out-of-tree backend.  The name and config enumerator
- * must both be unused (panics otherwise).  Not thread-safe against
- * concurrent lookups: register during startup, before pipelines run.
- */
-void registerBackend(const BackendDesc &desc);
+/** Comma-joined registry names ("BB, M4, ..."): the one source of the
+ *  config list in every tool's --help text. */
+std::string configListString();
 
 } // namespace pathsched::pipeline
 

@@ -277,10 +277,6 @@ serializeEntry(const StageCache::Entry &e, std::string &out)
     putU64(out, e.form.enlargedSuperblocks);
     putU64(out, e.form.blocksDuplicated);
     putU64(out, e.form.unreachableRemoved);
-    putU64(out, e.gcm.candidates);
-    putU64(out, e.gcm.hoisted);
-    putU64(out, e.gcm.loopHoisted);
-    putU64(out, e.gcm.latencyHoisted);
     putU64(out, e.compact.opt.copiesPropagated);
     putU64(out, e.compact.opt.constantsFolded);
     putU64(out, e.compact.opt.chainsFolded);
@@ -309,10 +305,6 @@ deserializeEntry(const std::string &in, size_t &pos,
            getU64(in, pos, e.form.enlargedSuperblocks) &&
            getU64(in, pos, e.form.blocksDuplicated) &&
            getU64(in, pos, e.form.unreachableRemoved) &&
-           getU64(in, pos, e.gcm.candidates) &&
-           getU64(in, pos, e.gcm.hoisted) &&
-           getU64(in, pos, e.gcm.loopHoisted) &&
-           getU64(in, pos, e.gcm.latencyHoisted) &&
            getU64(in, pos, e.compact.opt.copiesPropagated) &&
            getU64(in, pos, e.compact.opt.constantsFolded) &&
            getU64(in, pos, e.compact.opt.chainsFolded) &&

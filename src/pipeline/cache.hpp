@@ -15,8 +15,8 @@
  *  - a content hash of the profile slice driving formation for that
  *    procedure (edge records or path windows, combined commutatively
  *    so unordered-map iteration order cannot leak into the key);
- *  - the scheduling backend (its registry name plus whatever knobs its
- *    knobsHash hook folds in) and the machine model hash.
+ *  - the scheduling backend (its registry name, plus the formation
+ *    knobs when it forms superblocks) and the machine model hash.
  *
  * A hit restores the post-regalloc procedure body along with the
  * per-procedure stage counters and spill-slot count, so a warm run
@@ -50,7 +50,6 @@
 #include "machine/machine.hpp"
 #include "regalloc/linear_scan.hpp"
 #include "sched/compact.hpp"
-#include "sched/gcm.hpp"
 #include "support/vio.hpp"
 
 namespace pathsched::pipeline {
@@ -124,7 +123,6 @@ class StageCache
         /** Local spill slots the body references (rebase input). */
         uint64_t spillSlots = 0;
         form::FormStats form;
-        sched::GcmStats gcm;
         sched::CompactStats compact;
         regalloc::AllocStats alloc;
     };

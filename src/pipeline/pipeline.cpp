@@ -50,7 +50,7 @@ namespace {
  *  exactly this point. */
 enum class StageReached
 {
-    Form,      ///< transform stage: nothing else has run yet
+    Form,      ///< formation stage: nothing else has run yet
     Compact,   ///< compaction has run
     Regalloc,  ///< register allocation has run
     Postsched, ///< postschedule + IR verification have run
@@ -85,8 +85,7 @@ class MsAccum
  */
 struct ProcCtx
 {
-    /** Backend transform counters (form and/or gcm, per descriptor). */
-    TransformStats xf;
+    form::FormStats form;
     sched::CompactStats compact;
     regalloc::AllocStats alloc;
     sched::ScheduleStats postsched;
@@ -126,9 +125,11 @@ hashU64s(std::initializer_list<uint64_t> vals)
 
 /** Bump when anything about the transform chain's semantics changes,
  *  so stale --cache-dir entries from older builds can never hit.
- *  2: backend-registry key layout (backend name + per-family knobs
- *  hash replace the enum value + flat knob fields), gcm entry stats. */
-constexpr uint64_t kCacheSchema = 2;
+ *  3: the entry payload lost its four global-code-motion counters.
+ *  The bump re-keys every entry, so a schema-2 file on disk is a plain
+ *  miss instead of being read, failing the length check and counting
+ *  as corrupt. */
+constexpr uint64_t kCacheSchema = 3;
 
 } // namespace
 
@@ -479,8 +480,8 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
                 continue;
             body.clear();
             serializeProcedure(program.procs[p], body);
-            // Common material first, then the backend's own knobs —
-            // each family keys on exactly the knobs it reads.
+            // Common material first, then the formation knobs — only
+            // a superblock-forming backend reads them.
             KeyHasher h;
             h.u64(kCacheSchema)
                 .str(be.name)
@@ -491,8 +492,20 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
                 .u64(uint64_t(opt.schedPriority))
                 .u64(opt.registerAllocate ? 1 : 0)
                 .u64(opt.registerAllocate && recursive[p] ? 1 : 0);
-            if (be.knobsHash != nullptr)
-                be.knobsHash(h, opt);
+            if (be.formsSuperblocks) {
+                uint64_t threshold_bits = 0;
+                static_assert(sizeof threshold_bits ==
+                              sizeof opt.completionThreshold);
+                std::memcpy(&threshold_bits, &opt.completionThreshold,
+                            sizeof threshold_bits);
+                h.u64(threshold_bits)
+                    .u64(opt.maxInstrs)
+                    .u64(opt.enlarge ? 1 : 0)
+                    .u64(opt.growUpward ? 1 : 0)
+                    .u64(opt.pathParams.maxBranches)
+                    .u64(opt.pathParams.maxBlocks)
+                    .u64(opt.pathParams.forwardPathsOnly ? 1 : 0);
+            }
             ctx.key = h.key();
         }
     }
@@ -508,8 +521,7 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
             return false;
         prog.procs[p] = std::move(e.proc);
         prog.procs[p].syncSideTables();
-        ctx.xf.form = e.form;
-        ctx.xf.gcm = e.gcm;
+        ctx.form = e.form;
         ctx.compact = e.compact;
         ctx.alloc = e.alloc;
         ctx.spill.slots = e.spillSlots;
@@ -524,8 +536,7 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
         StageCache::Entry e;
         e.proc = prog.procs[p];
         e.spillSlots = ctx.spill.slots;
-        e.form = ctx.xf.form;
-        e.gcm = ctx.xf.gcm;
+        e.form = ctx.form;
         e.compact = ctx.compact;
         e.alloc = ctx.alloc;
         cache->insert(ctx.key, e);
@@ -563,16 +574,14 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
                   program.procs[p].name.c_str(), st.toString().c_str());
     };
 
-    // --- Phase A: transform -> compact -> regalloc, one chain per
-    //     procedure.  Nodes are inserted stage-major so the 1-thread
-    //     ready-FIFO order replays the historical serial loops.  The
-    //     transform stage is the backend's descriptor entry point —
-    //     the pipeline only owns the chain plumbing (quarantine,
-    //     cache, budget view, injection hook). ---
-    auto transformTask = [&](ir::ProcId p) {
+    // --- Phase A: form -> compact -> regalloc, one chain per
+    //     procedure; only superblock-forming backends get a form task.
+    //     Nodes are inserted stage-major so the 1-thread ready-FIFO
+    //     order replays the historical serial loops. ---
+    auto formTask = [&](ir::ProcId p) {
         ProcCtx &ctx = ctxs[p];
         MsAccum acc(ctx.formMs);
-        if (deadlineUp(be.transformLabel))
+        if (deadlineUp("form"))
             return;
         const profile::ProcAudit *pa =
             audit.enabled ? audit.findProc(p) : nullptr;
@@ -586,22 +595,30 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
         }
         if (tryCacheRestore(ctx, p))
             return;
-        TransformContext tc;
-        tc.config = config;
-        tc.opt = &opt;
-        tc.edge = edge_for_form;
-        tc.path = path_for_form;
-        tc.projectedEdge = &proj_edge;
-        tc.useProjectedEdges =
-            pa && pa->action == profile::ProcAction::ProjectedEdges;
-        tc.timed = &ctx.timed;
-        tc.budget = budgetFor(p);
-        if (faults != nullptr)
-            tc.inject = [&inject, p](const char *stage) {
-                return inject(stage, p);
-            };
-        const char *stage = be.transformLabel;
-        Status st = be.transform(prog, p, tc, ctx.xf, &stage);
+        form::FormConfig fc = formConfigFor(config, opt);
+        const profile::EdgeProfiler *edge = edge_for_form;
+        const profile::PathProfiler *path = path_for_form;
+        if (pa && pa->action == profile::ProcAction::ProjectedEdges) {
+            // Degradation cascade for procedures whose path profile
+            // lost windows to admission but still projects
+            // consistently: form them edge-driven (M4-style) from the
+            // projection.
+            fc.mode = form::ProfileMode::Edge;
+            fc.unrollFactor = 4;
+            edge = &proj_edge;
+            path = nullptr;
+        }
+        const obs::Observer form_obs = ctx.timed.withPrefix("form.");
+        fc.observer = &form_obs;
+        fc.budget = budgetFor(p);
+        const char *stage = "form";
+        Status st = inject("form", p);
+        if (st.ok())
+            st = form::formProcedure(prog, p, edge, path, fc, ctx.form);
+        if (st.ok()) {
+            stage = "materialize";
+            st = inject("materialize", p);
+        }
         if (!st.ok()) {
             noteFailureTo(ctx.degraded, p, stage, st);
             rebuildInChain(ctx, p, StageReached::Form);
@@ -615,9 +632,9 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
             return;
         if (deadlineUp("compact"))
             return;
-        // For transform-less backends (the BB baseline) this is the
-        // chain head: the cache lookup lives here.
-        if (!be.hasTransform() && tryCacheRestore(ctx, p))
+        // Without a form stage (the BB baseline) this is the chain
+        // head: the cache lookup lives here.
+        if (!be.formsSuperblocks && tryCacheRestore(ctx, p))
             return;
         sched::CompactOptions copts;
         copts.priority = opt.schedPriority;
@@ -663,11 +680,10 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
     {
         TaskGraph graph;
         std::vector<size_t> prev(num_procs, SIZE_MAX);
-        if (be.hasTransform()) {
+        if (be.formsSuperblocks) {
             for (ir::ProcId p = 0; p < num_procs; ++p)
-                prev[p] = graph.add(
-                    [&transformTask, p] { transformTask(p); }, {},
-                    int(p));
+                prev[p] = graph.add([&formTask, p] { formTask(p); }, {},
+                                    int(p));
         }
         for (ir::ProcId p = 0; p < num_procs; ++p) {
             const std::vector<size_t> deps =
@@ -694,8 +710,7 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
     double form_ms = 0, compact_ms = 0, regalloc_ms = 0;
     for (size_t p = 0; p < num_procs; ++p) {
         ProcCtx &ctx = ctxs[p];
-        result.form += ctx.xf.form;
-        result.gcm += ctx.xf.gcm;
+        result.form += ctx.form;
         result.compact += ctx.compact;
         result.alloc += ctx.alloc;
         for (auto &d : ctx.degraded)
@@ -726,12 +741,9 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
         result.status = std::move(deadline_status);
         return result;
     }
-    if (be.hasTransform()) {
-        result.stages.push_back({be.transformLabel, form_ms});
-        timed.addSample(std::string(be.transformLabel) + ".total",
-                        form_ms);
-    }
     if (be.formsSuperblocks) {
+        result.stages.push_back({"form", form_ms});
+        timed.addSample("form.total", form_ms);
         base.addCounter("form" + cfg_dot + "tracesSelected",
                         result.form.tracesSelected);
         base.addCounter("form" + cfg_dot + "multiBlockTraces",
@@ -744,16 +756,6 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
                         result.form.blocksDuplicated);
         base.addCounter("form" + cfg_dot + "unreachableRemoved",
                         result.form.unreachableRemoved);
-    }
-    if (be.usesGcm) {
-        base.addCounter("gcm" + cfg_dot + "candidates",
-                        result.gcm.candidates);
-        base.addCounter("gcm" + cfg_dot + "hoisted",
-                        result.gcm.hoisted);
-        base.addCounter("gcm" + cfg_dot + "loopHoisted",
-                        result.gcm.loopHoisted);
-        base.addCounter("gcm" + cfg_dot + "latencyHoisted",
-                        result.gcm.latencyHoisted);
     }
     result.stages.push_back({"compact", compact_ms});
     timed.addSample("compact.total", compact_ms);

@@ -47,7 +47,6 @@
 #include "profile/validate.hpp"
 #include "regalloc/linear_scan.hpp"
 #include "sched/compact.hpp"
-#include "sched/gcm.hpp"
 #include "support/budget.hpp"
 #include "support/faultinject.hpp"
 #include "support/status.hpp"
@@ -57,11 +56,11 @@ namespace pathsched::pipeline {
 class StageCache;
 
 /**
- * The scheduling configurations: the paper's five (§4) plus the GCM
- * family.  An enumerator is only a stable identifier — everything a
- * configuration *means* (its name, profile needs, transform stage,
- * cache-key knobs) lives in its BackendDesc (pipeline/backend.hpp);
- * query the descriptor instead of comparing enumerators.
+ * The scheduling configurations: the paper's five (§4).  An
+ * enumerator is only a stable identifier — everything a configuration
+ * *means* (its name, profile needs, whether it forms superblocks)
+ * lives in its BackendDesc (pipeline/backend.hpp); query the
+ * descriptor instead of comparing enumerators.
  */
 enum class SchedConfig
 {
@@ -70,8 +69,6 @@ enum class SchedConfig
     M16, ///< edge profile, mutual-most-likely, unroll factor 16
     P4,  ///< path profile, <= 4 superblock-loop heads (§2.2)
     P4e, ///< P4 with non-loop superblocks capped at tail duplication
-    G4,  ///< Click-style global code motion on the original CFG
-    G4e, ///< G4 followed by P4-style path-driven enlargement
 };
 
 /** Short display name, e.g. "P4e". */
@@ -126,7 +123,7 @@ struct RobustnessOptions
     /**
      * Optional fault injector (not owned; see support/faultinject.hpp).
      * runPipeline consults it at every per-procedure stage boundary
-     * ("form", "materialize", "gcm", "compact", "regalloc", "verify",
+     * ("form", "materialize", "compact", "regalloc", "verify",
      * "output-compare") and treats a hit exactly like a real failure
      * of that stage, degrading the procedure to BB.  Quarantined
      * procedures and the BB fallback itself are never re-injected, so
@@ -305,7 +302,7 @@ struct Degradation
     std::string procName;
     /** Stage boundary that failed: "profile" (admission quarantined
      *  the procedure before its transform), "form", "materialize",
-     *  "gcm", "compact", "regalloc", "verify", "output-compare", or
+     *  "compact", "regalloc", "verify", "output-compare", or
      *  "interp" (the measured test run blew its step budget inside
      *  this procedure). */
     std::string stage;
@@ -333,7 +330,6 @@ struct PipelineResult
 
     interp::RunResult test;   ///< the measured (transformed) test run
     form::FormStats form;
-    sched::GcmStats gcm;      ///< global code motion (G4 family only)
     sched::CompactStats compact;
     regalloc::AllocStats alloc;
 

@@ -20,12 +20,12 @@ namespace {
 
 TEST(BackendRegistry, BuiltinsRegisteredInCanonicalOrder)
 {
-    const auto &all = allBackends();
-    ASSERT_GE(all.size(), 7u);
-    const std::vector<std::string> expected = {"BB", "M4", "M16", "P4",
-                                               "P4e", "G4", "G4e"};
-    for (size_t i = 0; i < expected.size(); ++i)
-        EXPECT_EQ(all[i]->name, expected[i]);
+    std::vector<std::string> names;
+    for (const BackendDesc *be : allBackends())
+        names.push_back(be->name);
+    ASSERT_EQ(names, (std::vector<std::string>{"BB", "M4", "M16", "P4",
+                                               "P4e"}));
+    EXPECT_EQ(configListString(), "BB, M4, M16, P4, P4e");
 }
 
 TEST(BackendRegistry, NamesAndConfigsAreUnique)
@@ -59,9 +59,9 @@ TEST(BackendRegistry, CapabilityFlagsMatchTheFamilies)
         EXPECT_NE(be, nullptr) << name;
         return be;
     };
-    // BB: no profile, no transform.
+    // BB: no profile, no formation.
     EXPECT_FALSE(caps("BB")->needsProfile());
-    EXPECT_FALSE(caps("BB")->hasTransform());
+    EXPECT_FALSE(caps("BB")->formsSuperblocks);
     // M-family: edge profile, superblocks.
     for (const char *n : {"M4", "M16"}) {
         EXPECT_TRUE(caps(n)->needsEdgeProfile()) << n;
@@ -74,24 +74,10 @@ TEST(BackendRegistry, CapabilityFlagsMatchTheFamilies)
         EXPECT_TRUE(caps(n)->needsPathProfile()) << n;
         EXPECT_TRUE(caps(n)->formsSuperblocks) << n;
     }
-    // G4: edge-profiled GCM, untouched CFG.
-    EXPECT_TRUE(caps("G4")->needsEdgeProfile());
-    EXPECT_FALSE(caps("G4")->needsPathProfile());
-    EXPECT_TRUE(caps("G4")->usesGcm);
-    EXPECT_FALSE(caps("G4")->formsSuperblocks);
-    EXPECT_STREQ(caps("G4")->transformLabel, "gcm");
-    // G4e: GCM + path-driven enlargement needs both profiles.
-    EXPECT_TRUE(caps("G4e")->needsEdgeProfile());
-    EXPECT_TRUE(caps("G4e")->needsPathProfile());
-    EXPECT_TRUE(caps("G4e")->usesGcm);
-    EXPECT_TRUE(caps("G4e")->formsSuperblocks);
-    // Every transform-bearing backend carries a label.
-    for (const BackendDesc *be : allBackends()) {
-        if (be->hasTransform()) {
-            EXPECT_FALSE(std::string(be->transformLabel).empty())
-                << be->name;
-        }
-    }
+    // runPipeline runs the form stage exactly when a profile was
+    // trained for it.
+    for (const BackendDesc *be : allBackends())
+        EXPECT_EQ(be->formsSuperblocks, be->needsProfile()) << be->name;
 }
 
 // ---------------------------------------------------------------------

@@ -24,6 +24,7 @@
 #include "ir/printer.hpp"
 #include "obs/stats.hpp"
 #include "obs/timer.hpp"
+#include "pipeline/backend.hpp"
 #include "pipeline/cache.hpp"
 #include "pipeline/executor.hpp"
 #include "pipeline/pipeline.hpp"
@@ -34,6 +35,7 @@
 namespace pathsched {
 namespace {
 
+using pipeline::BackendDesc;
 using pipeline::ExecPolicy;
 using pipeline::Executor;
 using pipeline::ExecStats;
@@ -141,10 +143,6 @@ TEST(Executor, PolicyNamesRoundTrip)
 // Determinism matrix: N threads x policy must be byte-identical to
 // serial for every configuration.
 
-constexpr SchedConfig kAllConfigs[] = {
-    SchedConfig::BB, SchedConfig::M4, SchedConfig::M16, SchedConfig::P4,
-    SchedConfig::P4e, SchedConfig::G4, SchedConfig::G4e};
-
 /** Registry text with the thread/timing-dependent subtrees removed:
  *  "time.*" (wall clocks), "executor.*" (steal counts).  Everything
  *  else must be invariant across thread counts. */
@@ -209,7 +207,8 @@ class DeterminismMatrix
 TEST_P(DeterminismMatrix, ParallelRunsAreByteIdenticalToSerial)
 {
     const auto w = workloads::makeByName(GetParam());
-    for (const SchedConfig config : kAllConfigs) {
+    for (const BackendDesc *be : pipeline::allBackends()) {
+        const SchedConfig config = be->config;
         const RunCapture serial =
             captureRun(w, config, 1, ExecPolicy::Steal);
         EXPECT_FALSE(serial.ir.empty());

@@ -37,11 +37,22 @@ runAlu(Opcode op, int64_t a, int64_t b_val)
     return interp.run({}).returnValue;
 }
 
+/**
+ * gtest names each case after the raw bytes of its parameter, so the
+ * padding after `op` is an explicit, zeroed member: left implicit it
+ * holds stack garbage and the test names change from run to run.
+ */
 struct AluCase
 {
+    AluCase(Opcode op_, int64_t a_, int64_t b_, int64_t expected_)
+        : op(op_), a(a_), b(b_), expected(expected_)
+    {}
+
     Opcode op;
+    uint8_t pad[sizeof(int64_t) - sizeof(Opcode)] = {};
     int64_t a, b, expected;
 };
+static_assert(sizeof(AluCase) == 4 * sizeof(int64_t), "AluCase must have no implicit padding");
 
 class AluSemantics : public ::testing::TestWithParam<AluCase>
 {};

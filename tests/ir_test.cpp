@@ -85,17 +85,6 @@ TEST(Instruction, Classification)
     EXPECT_TRUE(makeEmit(1).touchesMemory());
 }
 
-TEST(Instruction, Speculability)
-{
-    EXPECT_TRUE(makeAlu(Opcode::Add, 0, 1, 2).isSpeculable());
-    EXPECT_TRUE(makeLdSpec(0, 1, 0).isSpeculable());
-    EXPECT_FALSE(makeLd(0, 1, 0).isSpeculable());
-    EXPECT_FALSE(makeSt(1, 0, 2).isSpeculable());
-    EXPECT_FALSE(makeEmit(1).isSpeculable());
-    EXPECT_FALSE(makeCall(0, 0, {}).isSpeculable());
-    EXPECT_FALSE(makeBr(Opcode::BrNz, 0, 1, 2).isSpeculable());
-}
-
 TEST(Instruction, InvertBranch)
 {
     EXPECT_EQ(invertBranch(Opcode::BrNz), Opcode::BrZ);

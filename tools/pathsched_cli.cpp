@@ -49,19 +49,6 @@ using namespace pathsched;
 
 namespace {
 
-/** Comma-joined registry names: the one source of the config list. */
-std::string
-configListString()
-{
-    std::string out;
-    for (const pipeline::BackendDesc *be : pipeline::allBackends()) {
-        if (!out.empty())
-            out += ", ";
-        out += be->name;
-    }
-    return out;
-}
-
 void
 usage()
 {
@@ -75,7 +62,7 @@ usage()
     std::printf(
         "  --config CFG|all        %s\n"
         "                          (default: all)\n",
-        configListString().c_str());
+        pipeline::configListString().c_str());
     std::printf(
         "  --icache                attach the 32KB direct-mapped cache\n"
         "  --depth N               path-profile depth in branches "

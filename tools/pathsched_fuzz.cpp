@@ -42,6 +42,7 @@
 #include "gen/oracle.hpp"
 #include "gen/reduce.hpp"
 #include "ir/printer.hpp"
+#include "pipeline/backend.hpp"
 #include "support/journal.hpp"
 #include "support/logging.hpp"
 #include "support/strutil.hpp"
@@ -73,7 +74,7 @@ usage()
         "  --no-reduce         skip delta reduction\n"
         "  --no-meta           skip metamorphic checks\n"
         "  --configs LIST      comma list of registered backends\n"
-        "                      (BB,M4,M16,P4,P4e,G4,G4e)\n"
+        "                      (%s)\n"
         "                      (default all)\n"
         "  --threads N         pipeline worker threads per run\n"
         "other modes:\n"
@@ -86,7 +87,8 @@ usage()
         "  --print-ir SPEC     print the canonical spec, step bound and\n"
         "                      generated IR, then exit\n"
         "\n"
-        "exit codes: 0 clean; 1 user error; 2 findings; 3 internal\n");
+        "exit codes: 0 clean; 1 user error; 2 findings; 3 internal\n",
+        pipeline::configListString().c_str());
 }
 
 std::string

@@ -68,8 +68,8 @@ usage()
         "\n"
         "serve options:\n"
         "  --workload NAME         workload to schedule (default wc)\n"
-        "  --config NAME           any registered backend, e.g.\n"
-        "                          BB|M4|M16|P4|P4e|G4|G4e (default P4)\n"
+        "  --config NAME           any registered backend:\n"
+        "                          %s (default P4)\n"
         "  --state DIR             WAL + snapshot directory (required)\n"
         "  --cache-dir DIR         on-disk stage-cache tier\n"
         "  --epoch-ms N            wall ms per aggregation epoch\n"
@@ -107,7 +107,8 @@ usage()
         "  --flush-at-end          send Flush after the last delta\n"
         "\n"
         "exit codes: 0 clean stop; 1 user error; 2 replay had rejected\n"
-        "or undeliverable deltas\n");
+        "or undeliverable deltas\n",
+        pipeline::configListString().c_str());
 }
 
 bool
