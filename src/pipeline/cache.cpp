@@ -291,13 +291,17 @@ serializeEntry(const StageCache::Entry &e, std::string &out)
     putU64(out, e.alloc.procsSkipped);
     putU64(out, e.alloc.regsSpilled);
     putU32(out, e.alloc.maxPressure);
+    putU64(out, e.alloc.skippedProcs.size());
+    for (const std::string &name : e.alloc.skippedProcs)
+        putStr(out, name);
 }
 
 bool
 deserializeEntry(const std::string &in, size_t &pos,
                  StageCache::Entry &e)
 {
-    return deserializeProcedure(in, pos, e.proc) &&
+    uint64_t skipped = 0;
+    if (!(deserializeProcedure(in, pos, e.proc) &&
            getU64(in, pos, e.spillSlots) &&
            getU64(in, pos, e.form.tracesSelected) &&
            getU64(in, pos, e.form.multiBlockTraces) &&
@@ -318,7 +322,17 @@ deserializeEntry(const std::string &in, size_t &pos,
            getU64(in, pos, e.alloc.procsAllocated) &&
            getU64(in, pos, e.alloc.procsSkipped) &&
            getU64(in, pos, e.alloc.regsSpilled) &&
-           getU32(in, pos, e.alloc.maxPressure);
+           getU32(in, pos, e.alloc.maxPressure) &&
+           getU64(in, pos, skipped)))
+        return false;
+    e.alloc.skippedProcs.clear();
+    for (uint64_t i = 0; i < skipped; ++i) {
+        std::string name;
+        if (!getStr(in, pos, name))
+            return false;
+        e.alloc.skippedProcs.push_back(std::move(name));
+    }
+    return true;
 }
 
 } // namespace

@@ -126,10 +126,13 @@ hashU64s(std::initializer_list<uint64_t> vals)
 /** Bump when anything about the transform chain's semantics changes,
  *  so stale --cache-dir entries from older builds can never hit.
  *  3: the entry payload lost its four global-code-motion counters.
- *  The bump re-keys every entry, so a schema-2 file on disk is a plain
+ *  4: register allocation spills during a single scan, so the
+ *  post-regalloc bodies of spilling procedures changed, and the entry
+ *  payload gained the skipped-procedure names.
+ *  The bump re-keys every entry, so an older file on disk is a plain
  *  miss instead of being read, failing the length check and counting
  *  as corrupt. */
-constexpr uint64_t kCacheSchema = 3;
+constexpr uint64_t kCacheSchema = 4;
 
 } // namespace
 
@@ -774,6 +777,8 @@ runPipeline(const ir::Program &program, const interp::ProgramInput &train,
         timed.addSample("regalloc", regalloc_ms);
         base.addCounter("alloc" + cfg_dot + "regsSpilled",
                         result.alloc.regsSpilled);
+        base.addCounter("alloc" + cfg_dot + "procsSkipped",
+                        result.alloc.procsSkipped);
         base.setGauge("alloc" + cfg_dot + "maxPressure",
                       result.alloc.maxPressure);
     }

@@ -134,6 +134,13 @@ resultToJson(obs::JsonWriter &w, const std::string &workload,
     w.member("procsSkipped", r.alloc.procsSkipped);
     w.member("regsSpilled", r.alloc.regsSpilled);
     w.member("maxPressure", uint64_t(r.alloc.maxPressure));
+    if (!r.alloc.skippedProcs.empty()) {
+        w.key("skippedProcs");
+        w.beginArray();
+        for (const std::string &name : r.alloc.skippedProcs)
+            w.value(name);
+        w.endArray();
+    }
     w.endObject();
 
     w.key("executor");

@@ -6,17 +6,29 @@
  * of the target, allocates registers, then postschedules restricted by
  * the allocation decisions (§2.3).  This allocator maps each
  * procedure's virtual registers onto the 128-entry file using one
- * coarse live interval per register.  Parameters are precolored onto
- * registers 0..k-1 (the calling convention).  A procedure whose
- * pressure exceeds the file is left on virtual registers and counted
- * in AllocStats::procsSkipped — with 128 registers and renaming-scale
- * pressure this is rare, and the experiment harness reports it.
+ * coarse live interval per register, from a single liveness solve and
+ * a single scan.  Parameters are precolored onto registers 0..k-1 (the
+ * calling convention).
+ *
+ * A procedure whose peak overlap fits the file gets plain first-fit in
+ * start order, which cannot fail on an interval graph.  One that
+ * overflows is scanned onto all but S registers and spills during the
+ * scan (Poletto–Sarkar): when no register is free, the interval with
+ * the largest (hi - lo) / (1 + refs) among the active ones and the
+ * current one moves to a static memory slot.  S is one zero-base
+ * register plus the most register operands of any instruction, enough
+ * for the reloads and the redirected definition of one instruction.
+ * Only a recursive procedure over pressure (static slots would be
+ * shared by live activations) stays on virtual registers; it is
+ * counted in AllocStats::procsSkipped, named in skippedProcs and
+ * reported with a warning.
  */
 
 #ifndef PATHSCHED_REGALLOC_LINEAR_SCAN_HPP
 #define PATHSCHED_REGALLOC_LINEAR_SCAN_HPP
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "ir/procedure.hpp"
@@ -32,6 +44,9 @@ struct AllocStats
     uint64_t procsSkipped = 0;
     uint64_t regsSpilled = 0; ///< live ranges demoted to memory slots
     uint32_t maxPressure = 0; ///< peak simultaneously-live registers
+    /** Names of the procedures left on virtual registers, in the order
+     *  they were allocated. */
+    std::vector<std::string> skippedProcs;
 
     AllocStats &
     operator+=(const AllocStats &o)
@@ -41,6 +56,8 @@ struct AllocStats
         regsSpilled += o.regsSpilled;
         maxPressure = maxPressure > o.maxPressure ? maxPressure
                                                   : o.maxPressure;
+        skippedProcs.insert(skippedProcs.end(), o.skippedProcs.begin(),
+                            o.skippedProcs.end());
         return *this;
     }
 };
@@ -103,9 +120,10 @@ struct AllocOptions
     const ResourceBudget *budget = nullptr;
     /**
      * Precomputed findRecursiveProcs() result (not owned, nullable).
-     * Null recomputes it per call — correct but a whole-program scan,
-     * and a data race if other procedures are being rewritten
-     * concurrently; the executor always passes it.
+     * Null recomputes it whenever a procedure overflows the file —
+     * correct but a whole-program scan, and a data race if other
+     * procedures are being rewritten concurrently; the executor always
+     * passes it.
      */
     const std::vector<uint8_t> *recursive = nullptr;
     /**
@@ -122,14 +140,13 @@ struct AllocOptions
  * counters into @p stats — the recoverable per-procedure entry point
  * behind allocateProgram(), and the form the pipeline executor calls.
  * Spill slots are appended to @p prog's data memory (or issued locally
- * per AllocOptions::spill).  A procedure whose pressure cannot be
- * reduced is *not* an error (it stays on virtual registers and counts
- * as skipped, as documented above); a non-OK return means the
- * procedure cannot be allocated at all (more parameters than machine
- * registers), or — when a budget is set — that budget->regallocOps
- * (charged one unit per instruction per allocation round) or
- * budget->deadline ran out mid-allocation, leaving the procedure
- * partially spilled.
+ * per AllocOptions::spill).  A recursive procedure over pressure is
+ * *not* an error (it stays on virtual registers and counts as skipped,
+ * as documented above); a non-OK return means the procedure cannot be
+ * allocated at all (more parameters than machine registers), or — when
+ * a budget is set — that budget->regallocOps (charged one unit per
+ * instruction for the one scan) or budget->deadline ran out before
+ * the procedure was touched.
  */
 Status allocateProcedure(ir::Program &prog, ir::ProcId proc,
                          uint32_t num_phys_regs, AllocStats &stats,

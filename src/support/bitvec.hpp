@@ -91,6 +91,18 @@ class BitVec
         return n;
     }
 
+    /** Call @p f(i) for every set bit i, in increasing order, skipping
+     *  empty words — cost is words + set bits, not size(). */
+    template <typename F>
+    void
+    forEachSet(F &&f) const
+    {
+        for (size_t wi = 0; wi < words_.size(); ++wi) {
+            for (uint64_t w = words_[wi]; w != 0; w &= w - 1)
+                f(wi * 64 + size_t(__builtin_ctzll(w)));
+        }
+    }
+
   private:
     size_t nbits_ = 0;
     std::vector<uint64_t> words_;

@@ -402,6 +402,26 @@ TEST_F(DiskCacheTest, EntriesPersistAcrossCacheInstances)
     EXPECT_EQ(ir::toString(*warm.transformed), cold_ir);
 }
 
+TEST_F(DiskCacheTest, AllocatorGiveUpsSurviveTheDiskTier)
+{
+    // A cached chain that left its procedure on virtual registers must
+    // replay the give-up by name, not just the count.
+    const auto w = workloads::makeByName("wc");
+    StageCache::Entry e;
+    e.proc = w.program.procs[0];
+    e.alloc.procsSkipped = 1;
+    e.alloc.skippedProcs = {e.proc.name};
+    const pipeline::CacheKey key{0x1234, 0x5678};
+    StageCache(dir_).insert(key, e);
+
+    StageCache reader(dir_);
+    StageCache::Entry got;
+    ASSERT_TRUE(reader.lookup(key, got));
+    EXPECT_EQ(reader.stats().diskHits, 1u);
+    EXPECT_EQ(got.alloc.procsSkipped, 1u);
+    EXPECT_EQ(got.alloc.skippedProcs, e.alloc.skippedProcs);
+}
+
 TEST_F(DiskCacheTest, CorruptEntriesAreRejectedAsMisses)
 {
     const auto w = workloads::makeByName("wc");

@@ -162,6 +162,135 @@ TEST(RegAlloc, LiveAcrossBlocksSurvives)
     EXPECT_EQ(interp::Interpreter(prog).run(in).returnValue, 110);
 }
 
+TEST(RegAlloc, FittingProcedureKeepsFirstFitAssignment)
+{
+    // Peak overlap 4 on a 4-register file: plain first-fit in start
+    // order, lowest free register first, the parameter precolored.
+    Program prog;
+    IrBuilder b(prog);
+    prog.mainProc = b.newProc("main", 1);
+    const RegId p = b.param(0);        // [0,4] -> r0
+    const RegId x = b.ldi(1);          // [0,2] -> r1
+    const RegId y = b.ldi(2);          // [1,2] -> r2
+    const RegId s = b.add(x, y);       // [2,3] -> r3
+    const RegId t = b.addi(s, 1);      // [3,4] -> r1 (x, y expired)
+    b.ret(b.add(t, p));                // [4,5] -> r2 (s expired)
+
+    const AllocStats stats = allocateProgram(prog, 4);
+    EXPECT_EQ(stats.procsAllocated, 1u);
+    EXPECT_EQ(stats.regsSpilled, 0u);
+    EXPECT_EQ(stats.maxPressure, 4u);
+    std::vector<RegId> dsts;
+    for (const auto &ins : prog.proc(0).blocks[0].instrs) {
+        if (ins.hasDst())
+            dsts.push_back(ins.dst);
+    }
+    EXPECT_EQ(dsts, (std::vector<RegId>{1, 2, 3, 1, 2}));
+    interp::ProgramInput in;
+    in.mainArgs = {10};
+    EXPECT_EQ(interp::Interpreter(prog).run(in).returnValue, 14);
+}
+
+TEST(RegAlloc, LoopPressureSpillsInOneScan)
+{
+    // 30 values (more than 3 x 8 registers) stay live around a loop.
+    // The allocator spills during its one scan — a budget of exactly
+    // one scan's worth of ops suffices — and never gives up.
+    constexpr uint32_t kRegs = 8;
+    Program prog;
+    IrBuilder b(prog);
+    prog.mainProc = b.newProc("main", 1);
+    const auto loop = b.newBlock();
+    const auto done = b.newBlock();
+    const RegId n = b.param(0);
+    std::vector<RegId> vals;
+    for (int i = 0; i < 30; ++i)
+        vals.push_back(b.ldi(i + 1));
+    const RegId acc = b.ldi(0);
+    const RegId iter = b.ldi(0);
+    b.jmp(loop);
+    b.setBlock(loop);
+    for (const RegId v : vals)
+        b.aluTo(Opcode::Add, acc, acc, v);
+    b.aluiTo(Opcode::Add, iter, iter, 1);
+    b.brnz(b.cmpLt(iter, n), loop, done);
+    b.setBlock(done);
+    b.emitValue(acc);
+    b.ret(acc);
+
+    interp::ProgramInput in;
+    in.mainArgs = {5};
+    const auto ref = interp::Interpreter(prog).run(in);
+    ASSERT_EQ(ref.returnValue, 5 * 30 * 31 / 2);
+
+    ResourceBudget one_scan;
+    one_scan.regallocOps = prog.proc(0).instrCount() + 1;
+    Program short_of_one = prog;
+    ResourceBudget too_small = one_scan;
+    --too_small.regallocOps;
+    AllocStats unused;
+    EXPECT_FALSE(
+        allocateProcedure(short_of_one, 0, kRegs, unused, &too_small)
+            .ok());
+
+    AllocStats stats;
+    ASSERT_TRUE(allocateProcedure(prog, 0, kRegs, stats, &one_scan).ok());
+    EXPECT_EQ(stats.procsAllocated, 1u);
+    EXPECT_EQ(stats.procsSkipped, 0u);
+    EXPECT_GT(stats.regsSpilled, 0u);
+    EXPECT_LE(stats.maxPressure, kRegs);
+    EXPECT_EQ(prog.proc(0).numRegs, kRegs);
+    std::vector<RegId> srcs;
+    for (const auto &bb : prog.proc(0).blocks) {
+        for (const auto &ins : bb.instrs) {
+            ins.sources(srcs);
+            for (const RegId r : srcs)
+                EXPECT_LT(r, kRegs);
+            if (ins.hasDst()) {
+                EXPECT_LT(ins.dst, kRegs);
+            }
+        }
+    }
+    const auto got = interp::Interpreter(prog).run(in);
+    EXPECT_EQ(got.output, ref.output);
+    EXPECT_EQ(got.returnValue, ref.returnValue);
+}
+
+TEST(RegAlloc, RecursiveGiveUpIsNamed)
+{
+    // The one remaining give-up — a recursive procedure over pressure
+    // — is counted and named, and the program still runs.
+    Program prog;
+    IrBuilder b(prog);
+    const auto rec = b.newProc("rec", 1);
+    {
+        const auto base = b.newBlock();
+        const auto deep = b.newBlock();
+        const RegId n = b.param(0);
+        std::vector<RegId> vals;
+        for (int i = 0; i < 12; ++i)
+            vals.push_back(b.addi(n, i));
+        b.brnz(b.cmpLti(n, 1), base, deep);
+        b.setBlock(base);
+        b.ret(b.ldi(0));
+        b.setBlock(deep);
+        RegId acc = b.callValue(rec, {b.alui(Opcode::Sub, n, 1)});
+        for (const RegId v : vals)
+            acc = b.add(acc, v);
+        b.ret(acc);
+    }
+    const auto main = b.newProc("main", 0);
+    b.ret(b.callValue(rec, {b.ldi(2)}));
+    prog.mainProc = main;
+    const int64_t expect = interp::Interpreter(prog).run({}).returnValue;
+
+    const AllocStats stats = allocateProgram(prog, 8);
+    EXPECT_EQ(stats.procsAllocated, 1u);
+    EXPECT_EQ(stats.procsSkipped, 1u);
+    EXPECT_EQ(stats.skippedProcs, (std::vector<std::string>{"rec"}));
+    EXPECT_EQ(interp::Interpreter(prog).run({}).returnValue, expect);
+}
+
 /** Property: allocation (after compaction) preserves behaviour. */
 class AllocSemantics : public ::testing::TestWithParam<uint64_t>
 {};

@@ -161,6 +161,34 @@ TEST_F(ReportRoundTrip, RegistryCountersMatchResults)
     }
 }
 
+TEST_F(ReportRoundTrip, AllocatorGiveUpsAreNamed)
+{
+    // wc fits the register file everywhere: the give-up counter is
+    // published as a visible zero and no run names a procedure.
+    obs::JsonValue v;
+    ASSERT_TRUE(obs::JsonValue::parse(*doc_, v));
+    const obs::JsonValue *skipped = v.findPath("stats.alloc.P4.procsSkipped");
+    ASSERT_NE(skipped, nullptr);
+    EXPECT_EQ(skipped->asNumber(), 0.0);
+    for (const auto &run : v.find("runs")->items()) {
+        EXPECT_EQ(run.findPath("alloc.procsSkipped")->asNumber(), 0.0);
+        EXPECT_EQ(run.findPath("alloc.skippedProcs"), nullptr);
+    }
+
+    // A run that kept a procedure on virtual registers lists it.
+    std::vector<pipeline::ReportRun> runs = {runs_->front()};
+    runs[0].result.alloc.procsSkipped = 1;
+    runs[0].result.alloc.skippedProcs = {"main"};
+    obs::JsonValue one;
+    ASSERT_TRUE(obs::JsonValue::parse(pipeline::reportJson(runs, nullptr),
+                                      one));
+    const obs::JsonValue *names =
+        one.find("runs")->items()[0].findPath("alloc.skippedProcs");
+    ASSERT_NE(names, nullptr);
+    ASSERT_EQ(names->items().size(), 1u);
+    EXPECT_EQ(names->items()[0].asString(), "main");
+}
+
 TEST_F(ReportRoundTrip, RegistryNestsIntoStatsSubtree)
 {
     obs::JsonValue v;

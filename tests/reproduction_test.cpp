@@ -15,6 +15,7 @@
 
 #include <map>
 
+#include "pipeline/backend.hpp"
 #include "pipeline/pipeline.hpp"
 #include "support/statistics.hpp"
 #include "workloads/workloads.hpp"
@@ -203,6 +204,22 @@ TEST(Reproduction, SuperblockProgressDrivesTheWin)
                          0.95 * m4.test.sbAvgBlocksExecuted();
     }
     EXPECT_GE(progress_wins, n - 2);
+}
+
+TEST(Reproduction, EveryRunModelsTheRegisterFile)
+{
+    // Every published number must come from the paper's 128-register
+    // machine: no procedure of any Table-1 workload under any config
+    // may be left on virtual registers.
+    auto &s = Suite::instance();
+    for (const auto &name : workloads::benchmarkNames()) {
+        for (const pipeline::BackendDesc *be : pipeline::allBackends()) {
+            const auto &r = s.get(name, be->config, false);
+            EXPECT_EQ(r.alloc.procsSkipped, 0u) << name << "/" << be->name;
+            EXPECT_TRUE(r.alloc.skippedProcs.empty())
+                << name << "/" << be->name;
+        }
+    }
 }
 
 } // namespace

@@ -138,6 +138,18 @@ TEST(BitVec, ClearZeroesEverything)
     EXPECT_EQ(a.count(), 0u);
 }
 
+TEST(BitVec, ForEachSetVisitsSetBitsInOrder)
+{
+    BitVec a(200);
+    for (size_t i : {0, 63, 64, 130, 199})
+        a.set(i);
+    std::vector<size_t> seen;
+    a.forEachSet([&](size_t i) { seen.push_back(i); });
+    EXPECT_EQ(seen, (std::vector<size_t>{0, 63, 64, 130, 199}));
+    a.clear();
+    a.forEachSet([&](size_t) { ADD_FAILURE() << "empty set visited"; });
+}
+
 TEST(RunningStat, TracksMinMaxMeanSum)
 {
     RunningStat s;
